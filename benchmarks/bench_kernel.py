@@ -1,8 +1,8 @@
 """Batched fan-out kernel benchmark: scalar vs batched matched scenarios.
 
-Three matched scenarios, each run under the scalar reference fan-out and
-the batched registry fan-out (``repro.net.set_fanout_mode``) with
-identical seeds:
+Three matched scenarios, each run under the scalar reference fan-out
+(the test oracle ``tests/net/scalar_fanout.py``) and the production
+batched registry fan-out with identical seeds:
 
 * **announce fan-out** — one ``MulticastChannel`` servicing a burst of
   announcements into (a) 1k receivers each behind its own seeded
@@ -35,26 +35,22 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, ".."))  # the tests.net oracle
+sys.path.insert(0, _HERE)
 
 from annotate_bench import record  # noqa: E402
 
 from repro.des import Environment, RngStreams  # noqa: E402
 from repro.experiments import EXPERIMENTS, run_experiment  # noqa: E402
-from repro.net import (  # noqa: E402
-    BernoulliLoss,
-    MulticastChannel,
-    Packet,
-    fanout_mode,
-    set_fanout_mode,
-)
+from repro.net import BernoulliLoss, MulticastChannel, Packet  # noqa: E402
+from tests.net.scalar_fanout import scalar_fanout  # noqa: E402
 
 #: (receivers, announcements, loss_models) per fan-out scenario — matched
 #: across modes.  ``loss_models=None`` gives every receiver its own seeded
@@ -68,6 +64,11 @@ def _drop(packet) -> None:
     """Receiver sink: delivery bookkeeping is what we measure, not sinks."""
 
 
+def _fanout_mode(mode: str):
+    """The reference paths for ``"scalar"``, production for ``"batched"``."""
+    return scalar_fanout() if mode == "scalar" else contextlib.nullcontext()
+
+
 def _fanout_once(
     receivers: int, announcements: int, loss_models: int | None, mode: str
 ):
@@ -78,9 +79,7 @@ def _fanout_once(
     still includes the batched side's lazy registry build on the first
     serviced packet.
     """
-    before = fanout_mode()
-    set_fanout_mode(mode)
-    try:
+    with _fanout_mode(mode):
         env = Environment()
         streams = RngStreams(seed=7)
         channel = MulticastChannel(env, rate_kbps=1e6)
@@ -105,8 +104,6 @@ def _fanout_once(
         # batched path's lazy delivery-hit fold inside the timed region.
         counts = dict(channel.delivered_per_receiver)
         wall = time.perf_counter() - start  # repro-lint: disable=RPR002
-    finally:
-        set_fanout_mode(before)
     return wall, counts
 
 
@@ -167,9 +164,7 @@ def _bench_timers(repeats: int):
 
 def _runall_pass(ids, mode: str):
     """One cold quick run-all under ``mode``; returns (wall_s, renders)."""
-    before = fanout_mode()
-    set_fanout_mode(mode)
-    try:
+    with _fanout_mode(mode):
         wall = 0.0
         renders = {}
         for experiment_id in ids:
@@ -178,8 +173,6 @@ def _runall_pass(ids, mode: str):
             )
             wall += result.telemetry["run"]["wall_s"]
             renders[experiment_id] = result.render()
-    finally:
-        set_fanout_mode(before)
     return wall, renders
 
 

@@ -29,26 +29,16 @@ from repro.des.core import (
     SimulationError,
     Timeout,
 )
-from repro.des.resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.des.resources import Store
 from repro.des.rng import RngStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngStreams",
     "SimulationError",
     "Store",

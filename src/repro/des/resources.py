@@ -1,156 +1,37 @@
 """Shared resources for the simulation kernel.
 
-Provides the standard process-interaction resource types:
-
-* :class:`Resource` — a counted resource with FIFO request queueing
-  (``with resource.request() as req: yield req``).
-* :class:`PriorityResource` — like :class:`Resource` but requests carry a
-  priority (lower value is served first).
-* :class:`Store` — an unbounded-or-capacity-limited queue of arbitrary
-  Python objects with blocking ``put``/``get``.
-* :class:`FilterStore` — a :class:`Store` whose ``get`` takes a predicate.
-* :class:`Container` — a continuous level (e.g. tokens of bandwidth
-  credit) with blocking ``put``/``get`` of amounts.
+:class:`Store` — an unbounded FIFO queue of arbitrary Python objects
+with a blocking ``get``: the service queue in front of every channel,
+link and the Section 3 queueing model.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
-from repro.des.core import Environment, Event, SimulationError
-
-
-class _Request(Event):
-    """Pending claim on a :class:`Resource` slot.  Context-manager aware."""
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._do_request(self)
-
-    def __enter__(self) -> "_Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.cancel()
-
-    def cancel(self) -> None:
-        """Release the slot (or withdraw the queued request)."""
-        self.resource._do_release(self)
-
-
-class _PriorityRequest(_Request):
-    def __init__(self, resource: "PriorityResource", priority: int) -> None:
-        self.priority = priority
-        self.order = resource._next_order()
-        super().__init__(resource)
-
-
-class Resource:
-    """A resource with ``capacity`` slots and FIFO waiters."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._users: list[_Request] = []
-        self._waiters: list[_Request] = []
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> _Request:
-        return _Request(self)
-
-    def _do_request(self, request: _Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.append(request)
-            request.succeed()
-        else:
-            self._waiters.append(request)
-
-    def _do_release(self, request: _Request) -> None:
-        if request in self._users:
-            self._users.remove(request)
-            self._grant_next()
-        elif request in self._waiters:
-            self._waiters.remove(request)
-
-    def _pop_next(self) -> Optional[_Request]:
-        return self._waiters.pop(0) if self._waiters else None
-
-    def _grant_next(self) -> None:
-        while len(self._users) < self.capacity:
-            nxt = self._pop_next()
-            if nxt is None:
-                return
-            self._users.append(nxt)
-            nxt.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served by ascending priority."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._order = 0
-
-    def _next_order(self) -> int:
-        self._order += 1
-        return self._order
-
-    def request(self, priority: int = 0) -> _PriorityRequest:  # type: ignore[override]
-        return _PriorityRequest(self, priority)
-
-    def _pop_next(self) -> Optional[_Request]:
-        if not self._waiters:
-            return None
-        best = min(self._waiters, key=lambda r: (r.priority, r.order))
-        self._waiters.remove(best)
-        return best
+from repro.des.core import Environment, Event
 
 
 class Store:
-    """A queue of items with blocking put/get.
+    """An unbounded FIFO queue of items; ``get`` blocks while empty."""
 
-    ``capacity`` bounds the number of stored items; ``put`` blocks while
-    full, ``get`` blocks while empty.  Items come out in FIFO order.
-    """
-
-    def __init__(
-        self, env: Environment, capacity: float = float("inf")
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
-        # A deque: the overwhelmingly common case is FIFO head removal,
-        # which must be O(1) — channels can build deep backlogs.
+        # A deque: channels can build deep backlogs, and every get is an
+        # O(1) head removal.
         self.items: deque[Any] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
         self._getters: deque[Event] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put(self, item: Any) -> Event:
-        """Return an event that triggers once ``item`` is stored."""
+        """Store ``item``; the returned event is already triggered."""
         event = Event(self.env)
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            event.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append((event, item))
+        self.items.append(item)
+        event.succeed()
+        self._serve_getters()
         return event
 
     def get(self) -> Event:
@@ -160,115 +41,8 @@ class Store:
         self._serve_getters()
         return event
 
-    def _eligible(self, event: Event) -> Optional[Any]:
-        """Pick the item ``event`` may take, or None.  Hook for subclasses."""
-        return self.items[0] if self.items else None
-
     def _serve_getters(self) -> None:
-        served = True
-        while served:
-            served = False
-            for getter in list(self._getters):
-                item = self._eligible(getter)
-                if item is None:
-                    continue
-                if self.items and self.items[0] is item:
-                    self.items.popleft()  # O(1) FIFO fast path
-                else:
-                    self.items.remove(item)
-                self._getters.remove(getter)
-                getter.succeed(item)
-                served = True
-                self._admit_putters()
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            event, item = self._putters.popleft()
-            self.items.append(item)
-            event.succeed()
-
-
-class _FilterGet(Event):
-    """A pending filtered ``get``; carries its predicate (Event is slotted)."""
-
-    __slots__ = ("_filter",)
-
-    def __init__(self, env: Environment, filter: Callable[[Any], bool]) -> None:
-        super().__init__(env)
-        self._filter = filter
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose ``get`` accepts only matching items."""
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> Event:  # type: ignore[override]
-        event = _FilterGet(self.env, filter)
-        self._getters.append(event)
-        self._serve_getters()
-        return event
-
-    def _eligible(self, event: Event) -> Optional[Any]:
-        predicate = getattr(event, "_filter", lambda item: True)
-        for item in self.items:
-            if predicate(item):
-                return item
-        return None
-
-
-class Container:
-    """A continuous quantity with blocking put/get of amounts."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: list[tuple[Event, float]] = []
-        self._getters: list[tuple[Event, float]] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise SimulationError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise SimulationError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._putters.pop(0)
-                    event.succeed()
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._getters.pop(0)
-                    event.succeed()
-                    progressed = True
+        items = self.items
+        getters = self._getters
+        while items and getters:
+            getters.popleft().succeed(items.popleft())

@@ -36,11 +36,11 @@ coefficient ``lambda * q * P_m / (1 - P_m)`` per held pair (equal to
 the discrete chain's ``lambda * q * P_m`` flow at equilibrium); the
 hazard ``h`` drives the dynamics only.
 
-The integrator is classical fixed-step RK4, vectorized over a whole
-grid of parameter cells with numpy when available and falling back to
-an identical scalar loop otherwise — both paths evaluate the same
-expressions in the same order, so their float64 trajectories are
-byte-identical (pinned by ``tests/fluid/test_model.py``).
+The integrator is classical fixed-step RK4, vectorized with numpy over
+a whole grid of parameter cells.  numpy's elementwise float64 ops round
+exactly like scalar python floats, so the trajectories match a per-cell
+scalar RK4 loop to the last bit (the oracle in
+``tests/fluid/test_model.py``).
 """
 
 from __future__ import annotations
@@ -49,12 +49,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Union
 
-from repro.net.loss import GilbertElliottLoss, LossModel
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+from repro.net.loss import GilbertElliottLoss, LossModel
 
 __all__ = [
     "DEFAULT_DT",
@@ -306,10 +303,7 @@ def solve_many(
     nu = [r.update for r in rates]
     gamma = [r.churn for r in rates]
     fe = [r.false_expiry for r in rates]
-    if _np is not None:
-        series = _integrate_numpy(a, h, nu, gamma, fe, steps, dt)
-    else:
-        series = _integrate_python(a, h, nu, gamma, fe, steps, dt)
+    series = _integrate(a, h, nu, gamma, fe, steps, dt)
     times = [i * dt for i in range(steps + 1)]
     runs = []
     for index, (params, cell_rates) in enumerate(zip(params_list, rates)):
@@ -328,13 +322,9 @@ def solve_many(
     return runs
 
 
-# -- integrators ------------------------------------------------------------
+# -- integrator --------------------------------------------------------------
 #
-# Both paths compute the identical expressions in the identical order:
-# numpy's elementwise float64 ops round exactly like scalar python
-# floats, so the trajectories agree to the last bit and the fallback is
-# a true drop-in (no tolerance laundering in the cross-validation
-# tests).  The derivative uses the n-eliminated form:
+# The derivative uses the n-eliminated form:
 #
 #   dc = a*(1 - c) - (nu + h + gamma)*c      [a*(n+s+f) = a*(1-c)]
 #   ds = nu*c - (a + h + gamma)*s
@@ -342,8 +332,7 @@ def solve_many(
 #   dE = fe*(c + s)
 
 
-def _integrate_numpy(a, h, nu, gamma, fe, steps, dt):
-    np = _np
+def _integrate(a, h, nu, gamma, fe, steps, dt):
     a = np.asarray(a, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
@@ -401,48 +390,3 @@ def _integrate_numpy(a, h, nu, gamma, fe, steps, dt):
         )
         for i in range(cells)
     ]
-
-
-def _integrate_python(a, h, nu, gamma, fe, steps, dt):
-    """Scalar fallback: the defining per-cell RK4 loop."""
-    series = []
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for a_i, h_i, nu_i, gamma_i, fe_i in zip(a, h, nu, gamma, fe):
-        c_decay = nu_i + h_i + gamma_i
-        s_decay = a_i + h_i + gamma_i
-        f_decay = a_i + gamma_i
-
-        def deriv(c, s, f):
-            dc = a_i * (1.0 - c) - c_decay * c
-            ds = nu_i * c - s_decay * s
-            df = h_i * (c + s) - f_decay * f
-            de = fe_i * (c + s)
-            return dc, ds, df, de
-
-        c = s = f = e = 0.0
-        cs = [c]
-        ss = [s]
-        fs = [f]
-        es = [e]
-        for _ in range(steps):
-            k1c, k1s, k1f, k1e = deriv(c, s, f)
-            k2c, k2s, k2f, k2e = deriv(
-                c + half * k1c, s + half * k1s, f + half * k1f
-            )
-            k3c, k3s, k3f, k3e = deriv(
-                c + half * k2c, s + half * k2s, f + half * k2f
-            )
-            k4c, k4s, k4f, k4e = deriv(
-                c + dt * k3c, s + dt * k3s, f + dt * k3f
-            )
-            c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-            s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            f = f + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-            e = e + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-            cs.append(c)
-            ss.append(s)
-            fs.append(f)
-            es.append(e)
-        series.append((cs, ss, fs, es))
-    return series

@@ -145,6 +145,51 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _unguarded_hook_calls(
+    ctx: FileContext, hooks: Set[str], guard_tokens: Tuple[str, ...]
+) -> Iterator[ast.Call]:
+    """Calls ``<receiver>.<hook>(...)`` that no precomputed guard dominates.
+
+    A call counts as guarded when an enclosing ``if``/``x if ... else``
+    test names the receiver or contains one of ``guard_tokens``, or when
+    the receiver is a parameter of the enclosing function (the caller
+    hoisted the check, e.g. ``Environment._run_traced``).
+    """
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Attribute) and func.attr in hooks):
+            continue
+        value = func.value
+        token: Optional[str] = None
+        if isinstance(value, ast.Name):
+            token = value.id
+        elif isinstance(value, ast.Attribute):
+            token = value.attr
+        guarded = False
+        for ancestor in ctx.ancestors(node):
+            if isinstance(
+                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                args = ancestor.args
+                guarded = token is not None and token in {
+                    a.arg
+                    for a in args.posonlyargs + args.args + args.kwonlyargs
+                }
+                break
+            if not isinstance(ancestor, (ast.If, ast.IfExp)):
+                continue
+            idents = _identifiers(ancestor.test)
+            if (token is not None and token in idents) or any(
+                guard in ident for ident in idents for guard in guard_tokens
+            ):
+                guarded = True
+                break
+        if not guarded:
+            yield node
+
+
 class Rule:
     """Base class: one invariant, one code."""
 
@@ -597,60 +642,15 @@ class UnguardedTraceEmitRule(Rule):
     severity = "error"
     path_scope = ("repro/des/", "repro/net/")
 
-    def _receiver_token(self, func: ast.Attribute) -> Optional[str]:
-        value = func.value
-        if isinstance(value, ast.Name):
-            return value.id
-        if isinstance(value, ast.Attribute):
-            return value.attr
-        return None
-
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr == "emit"
-            ):
-                continue
-            token = self._receiver_token(func)
-            guarded = False
-            for ancestor in ctx.ancestors(node):
-                if isinstance(
-                    ancestor,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-                ):
-                    # Injected-tracer contract: a parameter named like
-                    # the receiver means the caller holds the guard.
-                    args = getattr(ancestor, "args", None)
-                    if args is not None and token is not None:
-                        params = {
-                            a.arg
-                            for a in (
-                                args.posonlyargs + args.args + args.kwonlyargs
-                            )
-                        }
-                        if token in params:
-                            guarded = True
-                    break
-                if not isinstance(ancestor, (ast.If, ast.IfExp)):
-                    continue
-                idents = _identifiers(ancestor.test)
-                if token is not None and token in idents:
-                    guarded = True
-                    break
-                if any("trace" in ident for ident in idents):
-                    guarded = True
-                    break
-            if not guarded:
-                yield self.finding(
-                    ctx,
-                    node,
-                    "tracer emit not dominated by a precomputed trace-flag "
-                    "check (e.g. 'if env._trace_kernel:'); hot-path hooks "
-                    "must cost one load + one jump when tracing is off",
-                )
+        for node in _unguarded_hook_calls(ctx, {"emit"}, ("trace",)):
+            yield self.finding(
+                ctx,
+                node,
+                "tracer emit not dominated by a precomputed trace-flag "
+                "check (e.g. 'if env._trace_kernel:'); hot-path hooks "
+                "must cost one load + one jump when tracing is off",
+            )
 
 
 @register
@@ -795,64 +795,17 @@ class UnguardedSpanHookRule(Rule):
     _HOOKS = {"feed", "feed_raw", "account", "account_category"}
     _GUARD_TOKENS = ("trace", "prof", "span")
 
-    def _receiver_token(self, func: ast.Attribute) -> Optional[str]:
-        value = func.value
-        if isinstance(value, ast.Name):
-            return value.id
-        if isinstance(value, ast.Attribute):
-            return value.attr
-        return None
-
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in self._HOOKS
-            ):
-                continue
-            token = self._receiver_token(func)
-            guarded = False
-            for ancestor in ctx.ancestors(node):
-                if isinstance(
-                    ancestor,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-                ):
-                    args = getattr(ancestor, "args", None)
-                    if args is not None and token is not None:
-                        params = {
-                            a.arg
-                            for a in (
-                                args.posonlyargs + args.args + args.kwonlyargs
-                            )
-                        }
-                        if token in params:
-                            guarded = True
-                    break
-                if not isinstance(ancestor, (ast.If, ast.IfExp)):
-                    continue
-                idents = _identifiers(ancestor.test)
-                if token is not None and token in idents:
-                    guarded = True
-                    break
-                if any(
-                    guard in ident
-                    for ident in idents
-                    for guard in self._GUARD_TOKENS
-                ):
-                    guarded = True
-                    break
-            if not guarded:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"span/profiler hook '.{func.attr}(...)' not dominated "
-                    "by a precomputed observer check (e.g. 'if "
-                    "self._profile is not None:'); hot-path hooks must "
-                    "cost one load + one jump when observability is off",
-                )
+        hooks = _unguarded_hook_calls(ctx, self._HOOKS, self._GUARD_TOKENS)
+        for node in hooks:
+            yield self.finding(
+                ctx,
+                node,
+                f"span/profiler hook '.{node.func.attr}(...)' not dominated "
+                "by a precomputed observer check (e.g. 'if "
+                "self._profile is not None:'); hot-path hooks must "
+                "cost one load + one jump when observability is off",
+            )
 
 
 _METRIC_NAME = re.compile(r"^repro_[a-z][a-z0-9_]*$")

@@ -22,13 +22,7 @@ from repro.net.loss import (
     rng_sources,
 )
 from repro.net.link import Link
-from repro.net.channel import (
-    Channel,
-    DuplexPath,
-    MulticastChannel,
-    fanout_mode,
-    set_fanout_mode,
-)
+from repro.net.channel import Channel, DuplexPath, MulticastChannel
 from repro.net.capture import CaptureRecord, PacketCapture
 
 __all__ = [
@@ -48,9 +42,7 @@ __all__ = [
     "PacketCapture",
     "TotalLoss",
     "TraceLoss",
-    "fanout_mode",
     "kbps_to_pps",
     "pps_to_kbps",
     "rng_sources",
-    "set_fanout_mode",
 ]

@@ -12,9 +12,9 @@ compiles the receiver set into a dense dispatch registry — one row per
 active receiver with the loss draw pre-bound — rebuilt only on
 join/leave/block churn, and both channels replace the per-delayed-packet
 process spawn with a single persistent delivery process fed from a
-time-ordered deque.  The legacy scalar loop is kept behind
-:func:`set_fanout_mode` as the defining reference: seeded results in
-either mode are byte-for-byte identical (pinned by the channel
+time-ordered deque.  The per-receiver ``is_lost()`` loop it replaces
+lives on as the test oracle ``tests/net/scalar_fanout.py``: seeded
+results under either are byte-for-byte identical (pinned by the channel
 equivalence tests and ``make bench-kernel``).
 """
 
@@ -38,26 +38,6 @@ from repro.net.loss import (
 from repro.net.packet import Packet, _packet_ids, kbps_to_pps
 from repro.obs import runtime as _obs
 from repro.obs.trace import PACKET as _PACKET
-
-#: Runtime selector for the multicast fan-out implementation.  The
-#: scalar mode is the original per-receiver ``is_lost()`` loop (with the
-#: per-delayed-packet process spawn); batched is the registry-driven
-#: fast path.  Both produce identical seeded results — the toggle exists
-#: so benchmarks and equivalence tests can compare them in-process.
-_FANOUT_MODE = "batched"
-
-def set_fanout_mode(mode: str) -> None:
-    """Select the fan-out implementation: ``"scalar"`` or ``"batched"``."""
-    global _FANOUT_MODE
-    if mode not in ("scalar", "batched"):
-        raise ValueError(f"fanout mode must be 'scalar' or 'batched', got {mode!r}")
-    _FANOUT_MODE = mode
-
-
-def fanout_mode() -> str:
-    """The currently selected fan-out implementation."""
-    return _FANOUT_MODE
-
 
 class Channel:
     """A lossy FIFO server with a given bandwidth.
@@ -199,22 +179,14 @@ class Channel:
                 continue
             self.packets_delivered += 1
             if self.delay > 0:
-                if _FANOUT_MODE == "scalar":
-                    # Reference path: one short-lived process per packet.
-                    self.env.process(self._deliver_after(packet, self.delay))
-                else:
-                    self._enqueue_delayed(packet)
+                self._enqueue_delayed(packet)
             else:
                 self._deliver(packet)
 
-    def _deliver_after(self, packet: Packet, delay: float):
-        yield self.env.timeout(delay)
-        self._deliver(packet)
-
     def _enqueue_delayed(self, packet: Packet) -> None:
         # The due time is computed *now* (at service completion), so the
-        # delivery loop's timeout_at lands on the exact float the legacy
-        # per-packet timeout(delay) would have produced.
+        # delivery loop's timeout_at lands on the exact float a
+        # per-packet timeout(delay) process would have produced.
         self._delay_queue.append((self.env._now + self.delay, packet))
         wakeup = self._delivery_wakeup
         if wakeup is not None:
@@ -518,10 +490,7 @@ class MulticastChannel:
             self._epoch_packets += 1
             tr = self.env._trace
             trace_packets = tr is not None and tr.packet
-            if _FANOUT_MODE == "scalar":
-                outcomes = self._fanout_scalar(packet, tr, trace_packets)
-            else:
-                outcomes = self._fanout_batched(packet, tr, trace_packets)
+            outcomes = self._fanout_batched(packet, tr, trace_packets)
             if trace_packets:
                 tr.emit(
                     _PACKET,
@@ -541,43 +510,12 @@ class MulticastChannel:
             if completion is not None:
                 completion.succeed(outcomes)
 
-    def _fanout_scalar(self, packet: Packet, tr, trace_packets: bool):
-        """The original per-receiver loop — the defining reference path."""
-        outcomes: Dict[Any, bool] = {}
-        upstream_lost = self.shared_loss.is_lost()
-        delivered = self.delivered_per_receiver
-        for receiver_id, (loss, sink) in list(self._receivers.items()):
-            if receiver_id in self._blocked:
-                outcomes[receiver_id] = True
-                continue
-            lost = upstream_lost or loss.is_lost()
-            outcomes[receiver_id] = lost
-            if lost:
-                continue
-            delivered[receiver_id] += 1
-            delivery = packet.copy_for(receiver_id)
-            if trace_packets:
-                tr.emit(
-                    _PACKET,
-                    "packet_delivered",
-                    self.env.now,
-                    kind=packet.kind,
-                    key=packet.key,
-                    seq=packet.seq,
-                    receiver=receiver_id,
-                    chan=self.chan,
-                )
-            if self.delay > 0:
-                self.env.process(self._deliver_after(delivery, sink))
-            else:
-                sink(delivery)
-        return outcomes
-
     def _fanout_batched(self, packet: Packet, tr, trace_packets: bool):
         """Registry-driven fan-out: identical outcomes, far fewer dispatches.
 
         Exactness argument: rows are evaluated in join order, so every
-        rng's draw sequence matches the scalar loop; grouped models draw
+        rng's draw sequence matches the scalar reference loop
+        (``tests/net/scalar_fanout.py``); grouped models draw
         their whole batch up front, which only commutes because the
         registry builder proved their rngs are private to them; and an
         upstream loss short-circuits all per-receiver draws exactly like
@@ -678,6 +616,7 @@ class MulticastChannel:
                     "packet_delivered",
                     now,
                     kind=kind,
+                    key=key,
                     seq=seq,
                     receiver=receiver_id,
                     chan=self.chan,
@@ -791,10 +730,6 @@ class MulticastChannel:
         registry.rows = rows
         self._registry = registry
         return registry
-
-    def _deliver_after(self, packet: Packet, sink: Callable[[Packet], None]):
-        yield self.env.timeout(self.delay)
-        sink(packet)
 
     def _enqueue_delayed(
         self, packet: Packet, sink: Callable[[Packet], None]

@@ -1,108 +1,6 @@
-"""Unit tests for simulation resources (Resource, Store, Container)."""
+"""Unit tests for the kernel's FIFO :class:`~repro.des.Store`."""
 
-import pytest
-
-from repro.des import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Store,
-)
-
-
-def test_resource_grants_up_to_capacity():
-    env = Environment()
-    log = []
-
-    def user(env, resource, name, hold):
-        with resource.request() as req:
-            yield req
-            log.append(("start", name, env.now))
-            yield env.timeout(hold)
-        log.append(("end", name, env.now))
-
-    resource = Resource(env, capacity=2)
-    for name in ["a", "b", "c"]:
-        env.process(user(env, resource, name, 10.0))
-    env.run()
-    starts = {name: t for kind, name, t in log if kind == "start"}
-    assert starts == {"a": 0.0, "b": 0.0, "c": 10.0}
-
-
-def test_resource_count_and_queue_length():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def holder(env, resource):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(5.0)
-
-    env.process(holder(env, resource))
-    env.process(holder(env, resource))
-    env.run(until=1.0)
-    assert resource.count == 1
-    assert resource.queue_length == 1
-
-
-def test_resource_zero_capacity_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
-
-
-def test_cancelled_waiting_request_is_skipped():
-    env = Environment()
-    log = []
-
-    def holder(env, resource):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def impatient(env, resource):
-        req = resource.request()
-        yield env.timeout(2.0)
-        req.cancel()
-        log.append("gave up")
-
-    def patient(env, resource):
-        with resource.request() as req:
-            yield req
-            log.append(("patient got it", env.now))
-
-    env.process(holder(env, resource := Resource(env, capacity=1)))
-    env.process(impatient(env, resource))
-    env.process(patient(env, resource))
-    env.run()
-    assert ("patient got it", 10.0) in log
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    order = []
-
-    def holder(env, resource):
-        with resource.request(priority=0) as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def claimant(env, resource, name, priority, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
-
-    resource = PriorityResource(env, capacity=1)
-    env.process(holder(env, resource))
-    env.process(claimant(env, resource, "low-pri", 5, 1.0))
-    env.process(claimant(env, resource, "high-pri", 1, 2.0))
-    env.run()
-    assert order == ["high-pri", "low-pri"]
+from repro.des import Environment, Store
 
 
 def test_store_put_get_fifo():
@@ -145,125 +43,26 @@ def test_store_get_blocks_until_item_arrives():
     assert got == [(8.0, "late")]
 
 
-def test_store_put_blocks_when_full():
-    env = Environment()
-    log = []
-
-    def producer(env, store):
-        yield store.put("a")
-        start = env.now
-        yield store.put("b")
-        log.append(("second put done", env.now - start))
-
-    def consumer(env, store):
-        yield env.timeout(6.0)
-        yield store.get()
-
-    store = Store(env, capacity=1)
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert log == [("second put done", 6.0)]
-
-
-def test_filter_store_matches_predicate():
+def test_store_serves_waiting_getters_in_arrival_order():
     env = Environment()
     got = []
 
-    def consumer(env, store):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
+    def consumer(env, store, name):
+        item = yield store.get()
+        got.append((name, item))
 
-    store = FilterStore(env)
-    for i in [1, 3, 4, 5]:
-        store.put(i)
-    env.process(consumer(env, store))
-    env.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3, 5]
-
-
-def test_filter_store_waits_for_matching_item():
-    env = Environment()
-    got = []
-
-    def consumer(env, store):
-        item = yield store.get(lambda x: x == "wanted")
-        got.append((env.now, item))
+    store = Store(env)
+    for name in ("first", "second", "third"):
+        env.process(consumer(env, store, name))
+    env.run()  # all three now wait on an empty store
 
     def producer(env, store):
-        yield store.put("junk")
-        yield env.timeout(3.0)
-        yield store.put("wanted")
+        yield env.timeout(1.0)
+        for item in ("a", "b"):
+            yield store.put(item)
 
-    store = FilterStore(env)
-    env.process(consumer(env, store))
     env.process(producer(env, store))
     env.run()
-    assert got == [(3.0, "wanted")]
-
-
-def test_container_levels():
-    env = Environment()
-    container = Container(env, capacity=10.0, init=5.0)
-    log = []
-
-    def worker(env, container):
-        yield container.get(3.0)
-        log.append(container.level)
-        yield container.put(8.0)
-        log.append(container.level)
-
-    env.process(worker(env, container))
-    env.run()
-    assert log == [2.0, 10.0]
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    container = Container(env, capacity=100.0)
-    log = []
-
-    def consumer(env, container):
-        yield container.get(10.0)
-        log.append(env.now)
-
-    def producer(env, container):
-        for _ in range(10):
-            yield env.timeout(1.0)
-            yield container.put(1.0)
-
-    env.process(consumer(env, container))
-    env.process(producer(env, container))
-    env.run()
-    assert log == [10.0]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    container = Container(env, capacity=10.0, init=10.0)
-    log = []
-
-    def producer(env, container):
-        yield container.put(5.0)
-        log.append(env.now)
-
-    def consumer(env, container):
-        yield env.timeout(4.0)
-        yield container.get(5.0)
-
-    env.process(producer(env, container))
-    env.process(consumer(env, container))
-    env.run()
-    assert log == [4.0]
-
-
-def test_container_rejects_bad_amounts():
-    env = Environment()
-    container = Container(env, capacity=10.0)
-    with pytest.raises(SimulationError):
-        container.put(0)
-    with pytest.raises(SimulationError):
-        container.get(-1)
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5.0, init=6.0)
+    assert got == [("first", "a"), ("second", "b")]
+    assert len(store) == 0
+    assert len(store._getters) == 1  # "third" still waits

@@ -134,19 +134,14 @@ def test_batched_fanout_renders_byte_identical_to_scalar():
     relative to the scalar reference loop.  ``make bench-kernel`` checks
     the full quick run-all; this pins the fastest multicast-heavy
     experiment in the tier-1 suite.  cache=False so both runs compute."""
-    from repro.net import fanout_mode, set_fanout_mode
+    from tests.net.scalar_fanout import scalar_fanout
 
-    before = fanout_mode()
-    try:
-        set_fanout_mode("scalar")
+    with scalar_fanout():
         scalar = run_experiment(
             "ext_suppression", quick=True, seed=0, jobs=1, cache=False
         )
-        set_fanout_mode("batched")
-        batched = run_experiment(
-            "ext_suppression", quick=True, seed=0, jobs=1, cache=False
-        )
-    finally:
-        set_fanout_mode(before)
+    batched = run_experiment(
+        "ext_suppression", quick=True, seed=0, jobs=1, cache=False
+    )
     assert batched.rows == scalar.rows
     assert batched.render() == scalar.render()

@@ -3,7 +3,8 @@
 What these pin: the ODE's closed-form equilibrium (chosen so the fluid
 fixed point matches the discrete per-receiver chain *exactly*), mass
 conservation under the RK4 integrator, byte-identical trajectories
-between the numpy and pure-python integration paths, and the
+between the vectorized numpy integrator and a per-cell scalar RK4
+oracle, and the
 stride-decimated Gilbert-Elliott consecutive-loss recursion against its
 textbook closed form.
 """
@@ -24,7 +25,6 @@ from repro.fluid import (
     solve_many,
     summarize,
 )
-from repro.fluid import model as fluid_model
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 
 
@@ -149,23 +149,69 @@ def test_mass_conservation_and_bounds():
     )
 
 
-def test_numpy_and_python_integrators_are_byte_identical(monkeypatch):
+def _scalar_rk4(rates, steps, dt):
+    """The defining per-cell RK4 loop on python floats.
+
+    Same expressions in the same order as the vectorized integrator, so
+    the two must agree to the last bit (no tolerance laundering).
+    """
+    a, h, nu, gamma, fe = (
+        rates.acquire,
+        rates.expire,
+        rates.update,
+        rates.churn,
+        rates.false_expiry,
+    )
+    c_decay = nu + h + gamma
+    s_decay = a + h + gamma
+    f_decay = a + gamma
+
+    def deriv(c, s, f):
+        dc = a * (1.0 - c) - c_decay * c
+        ds = nu * c - s_decay * s
+        df = h * (c + s) - f_decay * f
+        de = fe * (c + s)
+        return dc, ds, df, de
+
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    c = s = f = e = 0.0
+    cs, ss, fs, es = [c], [s], [f], [e]
+    for _ in range(steps):
+        k1c, k1s, k1f, k1e = deriv(c, s, f)
+        k2c, k2s, k2f, k2e = deriv(
+            c + half * k1c, s + half * k1s, f + half * k1f
+        )
+        k3c, k3s, k3f, k3e = deriv(
+            c + half * k2c, s + half * k2s, f + half * k2f
+        )
+        k4c, k4s, k4f, k4e = deriv(c + dt * k3c, s + dt * k3s, f + dt * k3f)
+        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        f = f + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        e = e + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+        cs.append(c)
+        ss.append(s)
+        fs.append(f)
+        es.append(e)
+    return cs, ss, fs, es
+
+
+def test_numpy_and_python_integrators_are_byte_identical():
     params_list = [
         FluidParams(loss=0.1, timeout_multiple=4),
         FluidParams(loss=0.4, timeout_multiple=2, churn_rate=0.3),
         FluidParams(loss=0.6, timeout_multiple=4, update_rate=0.7),
     ]
-    if fluid_model._np is None:
-        pytest.skip("numpy unavailable: only one integrator to compare")
-    vectorized = solve_many(params_list, horizon=20.0, dt=0.05)
-    monkeypatch.setattr(fluid_model, "_np", None)
-    fallback = solve_many(params_list, horizon=20.0, dt=0.05)
-    for a, b in zip(vectorized, fallback):
-        assert a.times == b.times
-        assert a.consistent == b.consistent
-        assert a.stale == b.stale
-        assert a.expired == b.expired
-        assert a.expiries == b.expiries
+    dt = 0.05
+    vectorized = solve_many(params_list, horizon=20.0, dt=dt)
+    for run in vectorized:
+        assert run.times == [i * dt for i in range(401)]
+        consistent, stale, expired, expiries = _scalar_rk4(run.rates, 400, dt)
+        assert run.consistent == consistent
+        assert run.stale == stale
+        assert run.expired == expired
+        assert run.expiries == expiries
 
 
 def test_solve_matches_solve_many():

@@ -2,9 +2,10 @@
 the new multicast observability (enqueue tracing, observed loss rates).
 
 The batched registry path must reproduce the scalar reference loop
-byte-for-byte on the same seeds: same deliveries, same per-receiver
-outcome dicts, same delivery times — across churn, blocking, shared
-(grouped) models, shared-rng fallbacks, and delayed delivery.
+(:mod:`tests.net.scalar_fanout`) byte-for-byte on the same seeds: same
+deliveries, same per-receiver outcome dicts, same delivery times, same
+delivery trace records — across churn, blocking, shared (grouped)
+models, shared-rng fallbacks, and delayed delivery.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from repro.des import Environment, RngStreams
 from repro.net import (
     BernoulliLoss,
+    Channel,
     CombinedLoss,
     DeterministicLoss,
     GilbertElliottLoss,
@@ -21,25 +23,17 @@ from repro.net import (
     NoLoss,
     Packet,
     TotalLoss,
-    fanout_mode,
-    set_fanout_mode,
 )
+from repro.obs import PACKET, Tracer, tracing
+from tests.net.scalar_fanout import scalar_fanout
 
 
-@pytest.fixture(autouse=True)
-def _restore_fanout_mode():
-    before = fanout_mode()
-    yield
-    set_fanout_mode(before)
-
-
-def _run_group_scenario(mode, *, delay=0.0, churn=False, shared_rng=False):
+def _run_group_scenario(*, delay=0.0, churn=False, shared_rng=False):
     """One multicast session with a mixed receiver population.
 
     Returns (arrivals, outcomes, delivered_counts) — everything an
     equivalence check needs to compare the two fan-out implementations.
     """
-    set_fanout_mode(mode)
     env = Environment()
     streams = RngStreams(seed=42)
     mc = MulticastChannel(
@@ -91,7 +85,7 @@ def _run_group_scenario(mode, *, delay=0.0, churn=False, shared_rng=False):
 
     def driver(env):
         for seq in range(60):
-            mc.send(Packet(seq=seq))
+            mc.send(Packet(key=f"k{seq % 4}", seq=seq))
             yield env.timeout(0.05)
 
     def churner(env):
@@ -114,23 +108,88 @@ def _run_group_scenario(mode, *, delay=0.0, churn=False, shared_rng=False):
 @pytest.mark.parametrize("delay", [0.0, 0.25])
 @pytest.mark.parametrize("churn", [False, True])
 def test_batched_fanout_matches_scalar(delay, churn):
-    scalar = _run_group_scenario("scalar", delay=delay, churn=churn)
-    batched = _run_group_scenario("batched", delay=delay, churn=churn)
+    with scalar_fanout():
+        scalar = _run_group_scenario(delay=delay, churn=churn)
+    batched = _run_group_scenario(delay=delay, churn=churn)
     assert batched == scalar
 
 
 def test_shared_rng_spoiler_still_matches_scalar():
     """A grouped candidate whose rng is drawn by another model must fall
     back to in-order rows — and still reproduce the scalar results."""
-    scalar = _run_group_scenario("scalar", shared_rng=True)
-    batched = _run_group_scenario("batched", shared_rng=True)
+    with scalar_fanout():
+        scalar = _run_group_scenario(shared_rng=True)
+    batched = _run_group_scenario(shared_rng=True)
     assert batched == scalar
 
 
-def test_set_fanout_mode_validates():
-    with pytest.raises(ValueError, match="scalar"):
-        set_fanout_mode("vectorized")
-    assert fanout_mode() in ("scalar", "batched")
+def _run_channel_scenario():
+    """A unicast channel whose propagation delay outlasts its service time."""
+    env = Environment()
+    channel = Channel(
+        env,
+        rate_kbps=20.0,
+        loss=BernoulliLoss(0.3, rng=random.Random(5)),
+        delay=0.25,
+    )
+    arrivals = []
+    channel.subscribe(lambda p: arrivals.append((env.now, p.seq)))
+
+    def driver(env):
+        for seq in range(40):
+            channel.send(Packet(seq=seq))
+            yield env.timeout(0.03)
+
+    env.process(driver(env))
+    env.run(until=10.0)
+    return arrivals
+
+
+def test_channel_delayed_delivery_matches_scalar():
+    with scalar_fanout():
+        scalar = _run_channel_scenario()
+    assert 0 < len(scalar) < 40
+    assert _run_channel_scenario() == scalar
+
+
+def _delivered_records(**scenario):
+    """The scenario's ``packet_delivered`` trace rows, ``chan`` blanked.
+
+    Channel labels come from a process-global counter outside a cell,
+    so two runs in one process label the same channel differently.
+    """
+    tracer = Tracer(categories=[PACKET])
+    with tracing(tracer):
+        _run_group_scenario(**scenario)
+    return [
+        (t, {**fields, "chan": None})
+        for t, _, event, fields in tracer.records(PACKET)
+        if event == "packet_delivered"
+    ]
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.25])
+def test_batched_fanout_traces_deliveries_like_scalar(delay):
+    """Every row kind emits the same ``packet_delivered`` fields (``key``
+    included) at the same times as the reference loop."""
+    with scalar_fanout():
+        scalar = _delivered_records(delay=delay, churn=True)
+    batched = _delivered_records(delay=delay, churn=True)
+    assert scalar and {"key", "seq", "receiver"} <= set(scalar[0][1])
+    assert batched == scalar
+
+
+def test_scalar_fanout_restores_the_production_paths():
+    before = (
+        MulticastChannel.__dict__["_fanout_batched"],
+        Channel.__dict__["_enqueue_delayed"],
+    )
+    with scalar_fanout():
+        assert MulticastChannel.__dict__["_fanout_batched"] is not before[0]
+    assert (
+        MulticastChannel.__dict__["_fanout_batched"],
+        Channel.__dict__["_enqueue_delayed"],
+    ) == before
 
 
 def test_registry_reused_and_invalidated_on_churn():
@@ -168,8 +227,6 @@ def test_invalidate_registry_picks_up_in_place_model_change():
 
 
 def test_multicast_send_traces_packet_enqueued():
-    from repro.obs import PACKET, Tracer, tracing
-
     tracer = Tracer(categories=[PACKET])
     with tracing(tracer):
         env = Environment()
