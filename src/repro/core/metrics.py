@@ -44,30 +44,30 @@ class LatencyRecorder:
         #: Re-introductions of a still-pending (key, version) — see
         #: :meth:`introduced`.  The first timestamp stays authoritative.
         self.duplicate_introductions = 0
-        self._labels = {"session": session, "protocol": protocol}
         self._trace = _obs.current_tracer()
         registry = _obs.registry()
         label_names = ("session", "protocol")
+        labels = {"session": session, "protocol": protocol}
         self._m_introduced = registry.counter(
             "repro_latency_introduced_total",
             "Distinct (key, version) pairs entering the publisher table.",
             label_names,
-        )
+        ).labels(**labels)
         self._m_received = registry.counter(
             "repro_latency_received_total",
             "First receipts of a tracked (key, version) at a subscriber.",
             label_names,
-        )
+        ).labels(**labels)
         self._m_duplicates = registry.counter(
             "repro_duplicate_introduction_total",
             "introduced() calls for a (key, version) already pending.",
             label_names,
-        )
+        ).labels(**labels)
         self._h_latency = registry.histogram(
             "repro_receive_latency_seconds",
             "Receive latency T_recv: introduction to first receipt.",
             label_names,
-        )
+        ).labels(**labels)
 
     def introduced(self, key: Any, version: int, now: float) -> None:
         """A new value for (key, version) entered the publisher table.
@@ -81,7 +81,7 @@ class LatencyRecorder:
         first = self._introduced.get((key, version))
         if first is not None:
             self.duplicate_introductions += 1
-            self._m_duplicates.inc(**self._labels)
+            self._m_duplicates.inc()
             tr = self._trace
             if tr is not None and tr.warning:
                 tr.emit(
@@ -94,7 +94,7 @@ class LatencyRecorder:
                 )
             return
         self._introduced[(key, version)] = now
-        self._m_introduced.inc(**self._labels)
+        self._m_introduced.inc()
 
     def received(self, key: Any, version: int, now: float) -> Optional[float]:
         """First receipt at a subscriber; returns the latency if new."""
@@ -103,8 +103,8 @@ class LatencyRecorder:
             return None  # duplicate receipt or never tracked
         latency = now - start
         self._latencies.append(latency)
-        self._m_received.inc(**self._labels)
-        self._h_latency.observe(latency, **self._labels)
+        self._m_received.inc()
+        self._h_latency.observe(latency)
         return latency
 
     def abandoned(self, key: Any, version: int) -> None:
@@ -161,19 +161,30 @@ class BandwidthLedger:
     def __init__(self, session: str = "", protocol: str = "") -> None:
         self._bits: Dict[str, float] = {c: 0.0 for c in self.CATEGORIES}
         self._packets: Dict[str, int] = {c: 0 for c in self.CATEGORIES}
-        self._labels = {"session": session, "protocol": protocol}
         registry = _obs.registry()
         label_names = ("session", "protocol", "category")
-        self._m_bits = registry.counter(
+        m_bits = registry.counter(
             "repro_bandwidth_bits_total",
             "Bits sent, by purpose (Figure 4 accounting).",
             label_names,
         )
-        self._m_packets = registry.counter(
+        m_packets = registry.counter(
             "repro_bandwidth_packets_total",
             "Packets sent, by purpose.",
             label_names,
         )
+        #: category -> (bits, packets) counters bound to this ledger.
+        self._m = {
+            category: (
+                m_bits.labels(
+                    session=session, protocol=protocol, category=category
+                ),
+                m_packets.labels(
+                    session=session, protocol=protocol, category=category
+                ),
+            )
+            for category in self.CATEGORIES
+        }
 
     def add(self, category: str, bits: float, packets: int = 1) -> None:
         if category not in self._bits:
@@ -185,8 +196,9 @@ class BandwidthLedger:
             raise ValueError(f"bits must be non-negative, got {bits}")
         self._bits[category] += bits
         self._packets[category] += packets
-        self._m_bits.inc(bits, category=category, **self._labels)
-        self._m_packets.inc(packets, category=category, **self._labels)
+        m_bits, m_packets = self._m[category]
+        m_bits.inc(bits)
+        m_packets.inc(packets)
 
     def bits(self, category: str) -> float:
         if category not in self._bits:

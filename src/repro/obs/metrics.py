@@ -11,6 +11,12 @@ Instrument model (deliberately Prometheus-shaped, but dependency-free):
   fixed upper-edge buckets (counts are per-bucket, not cumulative,
   with an implicit overflow bucket past the last edge).
 
+``instrument.labels(**values)`` returns a child bound to one series
+(the ``counter.labels(...).inc()`` idiom of Prometheus clients): the
+label check and key tuple are paid once, and the series itself is still
+created on the child's first update, so a snapshot cannot tell which
+path wrote it.
+
 A :class:`Registry` owns instruments, renders a JSON-friendly,
 deterministically ordered :meth:`Registry.snapshot`, and can
 :meth:`Registry.merge` snapshots produced elsewhere — the parallel
@@ -36,10 +42,43 @@ DEFAULT_BUCKETS = (
 )
 
 
+class _Child:
+    """An instrument bound to one label-value tuple."""
+
+    __slots__ = ("_instrument", "_key")
+
+    def __init__(self, instrument: _Instrument, key: Tuple[str, ...]) -> None:
+        self._instrument = instrument
+        self._key = key
+
+
+class CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._instrument._inc(self._key, amount)
+
+
+class GaugeChild(_Child):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self._instrument._series[self._key] = float(value)
+
+
+class HistogramChild(_Child):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        self._instrument._observe(self._key, value)
+
+
 class _Instrument:
     """Common series bookkeeping for all three instrument kinds."""
 
     kind = "abstract"
+    #: The bound-child class :meth:`labels` returns.
+    _child: type
 
     def __init__(self, name: str, help: str, labels: Sequence[str]) -> None:
         self.name = name
@@ -54,6 +93,10 @@ class _Instrument:
                 f"got {tuple(sorted(labels))}"
             )
         return tuple(str(labels[name]) for name in self.label_names)
+
+    def labels(self, **labels: Any) -> Any:
+        """A child bound to one label-value series (created lazily)."""
+        return self._child(self, self._key(labels))
 
     @property
     def cardinality(self) -> int:
@@ -76,13 +119,16 @@ class Counter(_Instrument):
     """A monotonically non-decreasing sum."""
 
     kind = "counter"
+    _child = CounterChild
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        self._inc(self._key(labels), amount)
+
+    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError(
                 f"counter {self.name} cannot decrease (inc by {amount})"
             )
-        key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
@@ -97,6 +143,7 @@ class Gauge(_Instrument):
     """A point-in-time value; the last write wins."""
 
     kind = "gauge"
+    _child = GaugeChild
 
     def set(self, value: float, **labels: Any) -> None:
         self._series[self._key(labels)] = float(value)
@@ -115,6 +162,7 @@ class Histogram(_Instrument):
     """
 
     kind = "histogram"
+    _child = HistogramChild
 
     def __init__(
         self,
@@ -135,7 +183,9 @@ class Histogram(_Instrument):
         self.buckets = edges
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
+        self._observe(self._key(labels), value)
+
+    def _observe(self, key: Tuple[str, ...], value: float) -> None:
         series = self._series.get(key)
         if series is None:
             series = {

@@ -71,7 +71,7 @@ class DrrScheduler(Scheduler):
         self._deficit[name] = self._queues[name][0][1]
         return name
 
-    def _on_dequeue(self, name: str, item: Any, size: float) -> None:
+    def _on_dequeue(self, name: str, item: Any, size: float, tag: Any) -> None:
         self._deficit[name] -= size
         if not self._queues[name]:
             self._deficit[name] = 0.0

@@ -35,7 +35,7 @@ class StrideScheduler(Scheduler):
     def _on_enqueue(self, name: str, item: Any, size: float) -> None:
         # A queue waking from idle joins at the current global pass;
         # without this it would have accumulated unbounded credit.
-        if len(self._queues[name]) == 1:
+        if self._live[name] == 1:
             self._pass[name] = max(self._pass[name], self._global_pass)
 
     def _select(self) -> Optional[str]:
@@ -44,7 +44,7 @@ class StrideScheduler(Scheduler):
             return None
         return min(backlogged, key=lambda n: (self._pass[n], n))
 
-    def _on_dequeue(self, name: str, item: Any, size: float) -> None:
+    def _on_dequeue(self, name: str, item: Any, size: float, tag: Any) -> None:
         self._pass[name] += self._stride(name) * size
         self._global_pass = min(
             (self._pass[n] for n in self._backlogged()),

@@ -143,3 +143,25 @@ def test_average_with_no_observations_is_zero():
     publisher, subscriber = make_pair()
     meter = ConsistencyMeter(publisher, [subscriber])
     assert meter.average() == 0.0
+
+
+def test_running_average_series_skips_empty_intervals_under_skip_policy():
+    publisher, subscriber = make_pair()
+    meter = ConsistencyMeter(publisher, [subscriber], empty_policy="skip")
+    meter.enable_series()
+    meter.observe(0.0)  # empty live set: skipped
+    publisher.put("a", 1, now=4.0)
+    subscriber.put("a", 1, now=4.0)
+    meter.observe(4.0)
+    meter.observe(8.0)
+    assert meter.average() == 1.0
+    assert meter.running_average_series() == [(8.0, 1.0)]
+    # The raw series (what the fault tracker reads) still reports the
+    # empty instant as 0.
+    assert meter.series == [(0.0, 0.0), (4.0, 1.0), (8.0, 1.0)]
+
+
+def test_subscriber_tables_must_have_subscriber_role():
+    publisher, _ = make_pair()
+    with pytest.raises(ValueError):
+        ConsistencyMeter(publisher, [SoftStateTable("publisher")])

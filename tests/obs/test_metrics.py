@@ -43,6 +43,47 @@ def test_label_values_are_stringified():
 # -- counter -----------------------------------------------------------------
 
 
+def test_bound_children_write_the_same_series_lazily():
+    def populate(bound):
+        registry = Registry()
+        counter = registry.counter("c_total", "help", ("session", "kind"))
+        gauge = registry.gauge("g", "help", ("session",))
+        histogram = registry.histogram("h_seconds", "help", ("session",))
+        if bound:
+            child = counter.labels(session="s0", kind="a")
+            counter.labels(session="s0", kind="never")  # bound, never used
+            child.inc()
+            child.inc(2.5)
+            gauge.labels(session="s0").set(3)
+            histogram.labels(session="s0").observe(0.3)
+        else:
+            counter.inc(session="s0", kind="a")
+            counter.inc(2.5, session="s0", kind="a")
+            gauge.set(3, session="s0")
+            histogram.observe(0.3, session="s0")
+        return registry
+
+    bound, plain = populate(True), populate(False)
+    # A child creates its series on the first update, not when bound.
+    assert bound.snapshot() == plain.snapshot()
+    assert bound.get("c_total").cardinality == 1
+
+
+def test_bound_children_survive_reset_and_check_labels_once():
+    registry = Registry()
+    counter = registry.counter("c_total", "help", ("session",))
+    child = counter.labels(session="s0")
+    child.inc()
+    registry.reset()
+    assert counter.cardinality == 0
+    child.inc(4.0)
+    assert counter.value(session="s0") == 4.0
+    with pytest.raises(ValueError, match="cannot decrease"):
+        child.inc(-1.0)
+    with pytest.raises(ValueError, match="takes labels"):
+        counter.labels(session="s0", extra="x")
+
+
 def test_counter_monotonicity():
     counter = Counter("c_total", "", ())
     counter.inc()

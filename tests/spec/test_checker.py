@@ -5,8 +5,6 @@ library: each deliberately breaks one soft-state mechanism the paper
 relies on and asserts the checker pinpoints the violation.
 """
 
-import math
-
 import pytest
 
 from repro.core.record import SoftStateTable
@@ -75,18 +73,12 @@ def early_expiry(monkeypatch):
     def buggy(self, now):
         if self.role != "subscriber":
             return original(self, now)
-        if now + 1.0 < self._next_expiry:
-            return []
-        records = self._records
-        expired = [
-            record
-            for record in records.values()
-            if record.last_refreshed + record.hold_time <= now + 1.0
-        ]
-        self._next_expiry = math.inf
+        # Whatever the timer heap says is due a second from now goes now.
+        expired = sorted(self.lapsed(now + 1.0), key=lambda r: r._seq)
         tr = self._trace
         for record in expired:
-            del records[record.key]
+            del self._records[record.key]
+            self._unschedule(record)
             self.expirations += 1
             if tr is not None and tr.record:
                 # The bug under test reports the *true* deadline while
@@ -101,15 +93,9 @@ def early_expiry(monkeypatch):
                     table=self.trace_id,
                     deadline=record.last_refreshed + record.hold_time,
                 )
+            self._publish("expire", record.key, record)
             for callback in self._on_expire:
                 callback(record, now)
-        nxt = math.inf
-        for record in records.values():
-            expiry = record.last_refreshed + record.hold_time
-            if expiry < nxt:
-                nxt = expiry
-        if nxt < self._next_expiry:
-            self._next_expiry = nxt
         return expired
 
     monkeypatch.setattr(SoftStateTable, "expire", buggy)
