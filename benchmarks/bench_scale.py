@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -96,6 +97,9 @@ def _sharded_once(n, shards, jobs, horizon, loss):
 
 def _bench_sharded(n, shards, jobs, horizon, loss):
     mono_s, mono_merged, metrics = _sharded_once(n, 1, 1, horizon, loss)
+    # Read before the pool starts: this process's own high-water mark is
+    # the monolithic pass (Linux reports ru_maxrss in KiB).
+    mono_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     pool_s, pool_merged, _ = _sharded_once(n, shards, jobs, horizon, loss)
     return {
         "n_receivers": n,
@@ -104,6 +108,7 @@ def _bench_sharded(n, shards, jobs, horizon, loss):
         "horizon_s": horizon,
         "loss": loss,
         "mono_s": mono_s,
+        "mono_peak_rss_mb": mono_rss_mb,
         "pooled_s": pool_s,
         "speedup": mono_s / pool_s if pool_s > 0 else 0.0,
         "identical": mono_merged == pool_merged,
@@ -197,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{fluid['consistency_range'][1]:.4f}]"
     )
     print(
-        f"des    N={sharded['n_receivers']}        : mono {sharded['mono_s']:.2f} s  "
+        f"des    N={sharded['n_receivers']}        : mono {sharded['mono_s']:.2f} s "
+        f"({sharded['mono_peak_rss_mb']:.0f} MB peak)  "
         f"K={sharded['shards']}/jobs={sharded['jobs']} {sharded['pooled_s']:.2f} s  "
         f"speedup {sharded['speedup']:.2f}x  identical: {sharded['identical']}"
     )

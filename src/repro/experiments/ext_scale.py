@@ -1,8 +1,10 @@
 """Extension experiment: announce/listen at population scale.
 
 The paper's consistency results are population-level claims, but the
-per-receiver DES tops out around 10^4 receivers.  This experiment runs
-the two scale backends side by side over N = 10^3 .. 10^7:
+per-receiver DES tops out around 10^5 receivers: one 10^5-receiver
+shard takes ~15 s per 20 simulated seconds on one core and peaks at
+~0.55 GB, so 10^6 would need ~5.5 GB (docs/SCALE.md).  This experiment
+runs the two scale backends side by side over N = 10^3 .. 10^7:
 
 * the **sharded DES** (``repro.protocols.sharded``) up to its ceiling —
   each shard is an ordinary runner cell, so the pool and the result

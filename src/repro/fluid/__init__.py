@@ -1,7 +1,7 @@
 """Mean-field fluid backend for announce/listen at population scale.
 
 The DES path models every receiver individually and tops out around
-10^4 receivers; this package evolves *state fractions* instead —
+10^5 receivers; this package evolves *state fractions* instead —
 unaware / consistent / stale / falsely-expired — under the mean-field
 ODE limit of the announce/listen epoch chain (docs/SCALE.md).  Cost is
 independent of the population size, so sweeps at N=10^6 and beyond are

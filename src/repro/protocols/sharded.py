@@ -149,6 +149,7 @@ class ScaleListenerSession:
         inc = [0] * (n_ticks + 2)
         dec = [0] * (n_ticks + 2)
         expiries = [0]
+        memo = [None, 0, 0.0, 0]  # see _make_sink
         tables: List[Dict[int, float]] = []
         for rid in range(lo, hi):
             family = rng.spawn(f"rcv-{rid}")
@@ -156,7 +157,9 @@ class ScaleListenerSession:
             tables.append(table)
             channel.join(
                 rid,
-                _make_sink(env, table, inc, dec, expiries, tick, hold, limit),
+                _make_sink(
+                    env, table, inc, dec, expiries, tick, hold, limit, memo
+                ),
                 loss=self._loss_model(family),
             )
             if self.churn_rate > 0.0:
@@ -237,12 +240,30 @@ class ScaleListenerSession:
             seq += 1
 
 
-def _make_sink(env, table, inc, dec, expiries, tick, hold, limit):
-    """Per-receiver delivery callback updating the difference arrays."""
+def _make_sink(env, table, inc, dec, expiries, tick, hold, limit, memo):
+    """Per-receiver delivery callback updating the difference arrays.
+
+    ``memo`` is shared by every sink of the shard and holds ``[now,
+    slot(now), now + hold, slot(now + hold)]`` for the last delivery
+    instant.  A burst reaches all its receivers while ``env._now`` is
+    one float object, so the first sink computes the two slots and the
+    rest reuse the same floats and indices.  The memo is keyed on that
+    object's identity, not on float equality: a miss only recomputes
+    the same values, so a hit can never differ from a fresh computation.
+    """
     ceil = math.ceil
 
     def sink(packet: Packet) -> None:
         now = env._now
+        if memo[0] is not now:
+            new_deadline = now + hold
+            memo[:] = (
+                now,
+                min(ceil(now / tick), limit),
+                new_deadline,
+                min(ceil(new_deadline / tick), limit),
+            )
+        _, now_slot, new_deadline, deadline_slot = memo
         key = packet.key
         deadline = table.get(key)
         # The >= matters: with period-aligned announcements the m-th
@@ -257,9 +278,8 @@ def _make_sink(env, table, inc, dec, expiries, tick, hold, limit):
                 # Expired earlier and only now re-delivered: that gap
                 # was a false expiry (counted lazily, exactly once).
                 expiries[0] += 1
-            inc[min(ceil(now / tick), limit)] += 1
-        new_deadline = now + hold
-        dec[min(ceil(new_deadline / tick), limit)] += 1
+            inc[now_slot] += 1
+        dec[deadline_slot] += 1
         table[key] = new_deadline
 
     return sink

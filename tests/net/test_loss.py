@@ -1,6 +1,7 @@
 """Unit tests for loss models."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,10 @@ from repro.net import (
 
 def empirical_rate(model, n=20000):
     return sum(model.is_lost() for _ in range(n)) / n
+
+
+def draw(model, n=200):
+    return [model.is_lost() for _ in range(n)]
 
 
 def test_no_loss_never_drops():
@@ -96,13 +101,6 @@ def test_deterministic_loss_pattern():
     assert model.mean_loss_rate == 0.25
 
 
-def test_deterministic_reset():
-    model = DeterministicLoss(period=2)
-    model.is_lost()
-    model.reset()
-    assert [model.is_lost(), model.is_lost()] == [False, True]
-
-
 def test_trace_loss_replays_and_cycles():
     model = TraceLoss([True, False, False])
     assert [model.is_lost() for _ in range(6)] == [
@@ -165,3 +163,61 @@ def test_default_rngs_are_per_instance_not_clones():
     draws_a = [a.is_lost() for _ in range(200)]
     draws_b = [b.is_lost() for _ in range(200)]
     assert draws_a != draws_b
+
+
+def test_default_stream_instances_are_independent():
+    # Two models built without an explicit rng must not share a loss
+    # sequence (the old shared random.Random(0) default did).
+    a = BernoulliLoss(0.5)
+    b = BernoulliLoss(0.5)
+    assert draw(a, 500) != draw(b, 500)
+
+
+class _NoSnapshotRandom(random.Random):
+    """A rng whose state may be drawn from but never read or written."""
+
+    def getstate(self):
+        raise AssertionError("loss model read its rng state")
+
+    def setstate(self, state):
+        raise AssertionError("loss model wrote its rng state")
+
+
+SEEDED_MODELS = {
+    "bernoulli": lambda rng: BernoulliLoss(0.3, rng=rng),
+    "gilbert_elliott": lambda rng: GilbertElliottLoss(
+        p_gb=0.1, p_bg=0.3, bad_loss=0.9, good_loss=0.02, rng=rng
+    ),
+    "gilbert_elliott_with_mean": lambda rng: GilbertElliottLoss.with_mean(
+        0.25, burst_length=4.0, rng=rng
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_MODELS))
+def test_construction_never_touches_rng_state(name):
+    # A model only draws from its rng: building one must not snapshot
+    # the generator, and its draws are those of a plain same-seed rng.
+    build = SEEDED_MODELS[name]
+    model = build(_NoSnapshotRandom(11))
+    reference = build(random.Random(11))
+    assert draw(model, 300) == draw(reference, 300)
+    assert model.draw_batch(50) == reference.draw_batch(50)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_MODELS))
+def test_construction_allocates_under_a_kilobyte(name):
+    # A Mersenne Twister state tuple is ~25 KB of Python ints; a model
+    # that costs only its draws allocates a few hundred bytes.
+    build = SEEDED_MODELS[name]
+    count = 1000
+    rngs = [random.Random(seed) for seed in range(count)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        models = [build(rng) for rng in rngs]
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(models) == count
+    assert allocated / count < 1024, f"{allocated / count:.0f} B per model"

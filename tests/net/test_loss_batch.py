@@ -5,8 +5,7 @@ For every loss model, ``draw_batch(n)`` must return exactly the booleans
 the state those calls would — rng sequence, chain state, trace position
 — so scalar and batched consumers of one seeded model can be mixed
 freely.  These tests pin that with same-seed clone pairs driven through
-random batch sizes, interleaved scalar/batch calls, and mid-sequence
-``reset()``.
+random batch sizes and interleaved scalar/batch calls.
 """
 
 import random
@@ -95,18 +94,6 @@ def test_interleaved_scalar_and_batch_calls(name):
         else:
             got = mixed.draw_batch(n)
         assert got == expected, f"{name} {op} n={n}"
-
-
-@pytest.mark.parametrize("name", ALL_MODELS)
-def test_reset_mid_sequence_restores_batch_equivalence(name):
-    scalar = MODEL_FACTORIES[name]()
-    batched = MODEL_FACTORIES[name]()
-    scalar.draw_batch(17)
-    batched.draw_batch(17)
-    scalar.reset()
-    batched.reset()
-    expected = [scalar.is_lost() for _ in range(40)]
-    assert batched.draw_batch(40) == expected
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
